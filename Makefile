@@ -86,7 +86,7 @@ scale-check:
 	rm -f BENCH_scale.raw.tmp
 
 # Streaming window-loop benchmark: mode=full (rebuild the pipeline every
-# flush) against mode=incr (RunIncremental over retained stream state) on
+# flush) against mode=incr (RunWindow over retained stream state) on
 # the same window schedule. The paired within-run ratio is gated at >=3x,
 # and the summary (windows/s, retained_bytes, allocs) is promoted to
 # BENCH_stream.json only when both the ratio gate and the per-metric
@@ -102,11 +102,14 @@ bench-stream:
 
 # The incremental-vs-rebuild equivalence suite under -race: every window's
 # incremental report must be byte-identical to a cold rebuild of the same
-# window at every worker count, plus the stream-grid unit tests. This is
-# the streaming index's correctness contract; run it before touching
-# tracestore/stream.go or pipeline/stream.go.
+# window at every worker count, plus the stream-grid unit tests and the
+# online monitor's tests (the monitor is the index's production consumer
+# and has no other window path). This is the streaming index's
+# correctness contract; run it before touching tracestore/stream.go,
+# pipeline/stream.go or online/online.go.
 stream-check:
 	$(GO) test -race -timeout 30m -run 'TestIncrementalEquivalence|TestStream|TestSegOf' ./internal/pipeline ./internal/tracestore
+	$(GO) test -race -timeout 30m -run 'TestMonitor' ./internal/online
 
 # One-iteration pipeline benchmark: catches benchmark bit-rot and gross
 # perf/alloc regressions in the pre-submit gate without the full run's cost.

@@ -69,7 +69,6 @@ func main() {
 		shedPol  = flag.String("shed-policy", "drop-oldest", "what a full ingest ring sheds: drop-oldest (windows) or reject-new (arrivals)")
 		deadline = flag.Duration("window-deadline", 0, "wall-clock budget per analysis window; an overrunning window is skipped and counted (0 = none)")
 		maxMem   = flag.Int64("max-mem", 0, "heap hard watermark in MiB; crossing half of it degrades diagnosis one rung, crossing it two (0 = off)")
-		incr     = flag.Bool("incremental", true, "use the incremental sliding-window index (seal each record once, carry the diagnosis memo) instead of rebuilding every window")
 		specPath = flag.String("spec", "", "load streaming/resilience knobs from this pipeline spec (explicit flags override it)")
 		contend  = flag.Bool("contention-profile", false, "sample mutex/block contention so /debug/pprof/mutex and /debug/pprof/block on -listen carry data")
 	)
@@ -96,9 +95,6 @@ func main() {
 		}
 		if !set["workers"] {
 			*workers = rs.Diagnosis.Workers
-		}
-		if !set["incremental"] && rs.Stream.Incremental != nil {
-			*incr = *rs.Stream.Incremental
 		}
 		if !set["ring-cap"] {
 			*ringCap = rs.Resilience.RingCapacity
@@ -141,12 +137,11 @@ func main() {
 	meta := collector.MetaFor(topo)
 
 	mon := online.New(meta, online.Config{
-		Window:      simtime.Duration(window.Nanoseconds()),
-		MinScore:    *minScore,
-		Workers:     *workers,
-		Obs:         reg,
-		Resilience:  rcfg,
-		Incremental: *incr,
+		Window:     simtime.Duration(window.Nanoseconds()),
+		MinScore:   *minScore,
+		Workers:    *workers,
+		Obs:        reg,
+		Resilience: rcfg,
 	})
 
 	// SIGINT/SIGTERM end the stream early but cleanly: the drain loop
@@ -222,11 +217,10 @@ func main() {
 	st := mon.Stats()
 	fmt.Printf("\nmonitor: %d windows, %d victims diagnosed, %d alerts\n",
 		st.Windows, st.Victims, st.Alerts)
-	if ss, ok := mon.StreamStats(); ok {
-		fmt.Printf("stream: %d segments sealed (%d evicted, %d retained, %.1f MiB), %d records, %d journeys\n",
-			ss.EvictedTotal+ss.RetainedSegments, ss.EvictedTotal, ss.RetainedSegments,
-			float64(ss.RetainedBytes)/(1<<20), ss.Records, ss.Journeys)
-	}
+	ss := mon.StreamStats()
+	fmt.Printf("stream: %d segments sealed (%d evicted, %d retained, %.1f MiB), %d records, %d journeys\n",
+		ss.EvictedTotal+ss.RetainedSegments, ss.EvictedTotal, ss.RetainedSegments,
+		float64(ss.RetainedBytes)/(1<<20), ss.Records, ss.Journeys)
 	if rcfg.Enabled() {
 		fmt.Printf("resilience: degradation=%s degraded=%d shed=%d records (%d windows), skipped=%d, quarantined=%d, deadline-exceeded=%d\n",
 			mon.LastDegradation(), st.Degraded, st.RecordsShed, st.WindowsShed,

@@ -1,9 +1,14 @@
 // Package online runs Microscope continuously: the collector's record
-// stream is consumed in windows, each window is reconstructed and diagnosed
-// like a small offline trace, and significant culprits surface as alerts.
-// The paper's tool is offline (§5); this is the thin incremental shell an
+// stream is consumed in sliding windows and significant culprits surface
+// as alerts. The paper's tool is offline (§5); this is the thin shell an
 // operator deploys so that "run Microscope over the timeframe" (§4.4)
 // happens on its own.
+//
+// Every window goes through one path, the incremental stream index
+// (pipeline.StreamState, DESIGN.md §11): each record is sealed into a
+// grid segment once, a window is assembled from retained segments, and
+// the diagnosis memo carries across windows. Each window's report is
+// byte-identical to a cold segment-wise rebuild of the same window.
 package online
 
 import (
@@ -86,13 +91,6 @@ type Config struct {
 	// (scopes "stage:<name>" and "victim:<i>"). The chaos harness injects
 	// deterministic faults through it; never set in production.
 	ChaosHook func(scope string)
-	// Incremental routes window analysis through the retained streaming
-	// index (pipeline.StreamState): records are sealed into epoch segments
-	// once, expired segments are evicted wholesale, and the diagnosis memo
-	// is carried across windows. Every window's report is byte-identical
-	// to a cold segment-wise rebuild of the same window (DESIGN.md §11);
-	// the win is not re-reconstructing the overlap every window.
-	Incremental bool
 }
 
 func (c *Config) setDefaults() {
@@ -146,16 +144,11 @@ func (a Alert) String() string {
 // Monitor consumes records incrementally. Not safe for concurrent use; a
 // collector drain loop feeds it from one goroutine.
 type Monitor struct {
-	cfg  Config
-	meta collector.Meta
-	// pcfg is the per-window pipeline configuration: each window runs the
-	// shared staged pipeline with patterns skipped (the monitor merges raw
-	// causes itself).
-	pcfg pipeline.Config
+	cfg Config
 
-	// stream is the retained incremental index (nil in batch mode). It is
-	// advanced on every flush — including skipped rungs and empty windows —
-	// so its watermark and eviction horizon track the monitor's.
+	// stream is the retained incremental index. It is advanced on every
+	// flush — including skipped rungs and empty windows — so its watermark
+	// and eviction horizon track the monitor's.
 	stream *pipeline.StreamState
 
 	// pending is the bounded ingest ring (unbounded when RingCapacity=0).
@@ -224,8 +217,11 @@ type Stats struct {
 	// LateDropped counts records that arrived after their window was
 	// already diagnosed and had to be discarded.
 	LateDropped int
-	// Unmatched and Quarantined accumulate per-window reconstruction
-	// damage across the monitor's lifetime.
+	// Unmatched and Quarantined are the stream's seal-time reconstruction
+	// damage totals: every record is counted once, when its segment is
+	// sealed, so they never double-count the overlap and stay monotone
+	// across watermark resyncs. They are refreshed after each diagnosed
+	// window.
 	Unmatched, Quarantined int
 	// RecordsShed counts records discarded by the bounded-ingest shed
 	// policy (rejected arrivals under ShedRejectNew, or arrivals whose
@@ -266,7 +262,9 @@ type Stats struct {
 	WatermarkResyncs int
 }
 
-// New creates a monitor for a deployment described by meta.
+// New creates a monitor for a deployment described by meta. It panics on
+// a window geometry the stream grid cannot express (negative window or
+// overlap): a misconfiguration, not a runtime condition.
 func New(meta collector.Meta, cfg Config) *Monitor {
 	cfg.setDefaults()
 	dcfg := cfg.Diagnosis
@@ -274,28 +272,24 @@ func New(meta collector.Meta, cfg Config) *Monitor {
 	if cfg.Workers != 0 {
 		dcfg.Workers = cfg.Workers
 	}
+	// Each window runs the staged pipeline with patterns skipped: the
+	// monitor merges raw causes itself.
+	ss, err := pipeline.NewStreamState(meta, cfg.Window, cfg.Overlap, pipeline.Config{
+		Diagnosis:     dcfg,
+		SkipPatterns:  true,
+		Obs:           cfg.Obs,
+		ContainPanics: cfg.Resilience.ContainPanics,
+		ChaosHook:     cfg.ChaosHook,
+	})
+	if err != nil {
+		panic("online: " + err.Error())
+	}
 	m := &Monitor{
-		cfg:  cfg,
-		meta: meta,
-		pcfg: pipeline.Config{
-			Diagnosis:     dcfg,
-			SkipPatterns:  true,
-			Obs:           cfg.Obs,
-			ContainPanics: cfg.Resilience.ContainPanics,
-			ChaosHook:     cfg.ChaosHook,
-		},
+		cfg:       cfg,
+		stream:    ss,
 		pending:   resilience.NewRing[collector.BatchRecord](cfg.Resilience.RingCapacity),
 		lastAlert: make(map[alertKey]simtime.Time),
 		nextFlush: simtime.Time(cfg.Window),
-	}
-	if cfg.Incremental {
-		ss, err := pipeline.NewStreamState(meta, cfg.Window, cfg.Overlap, m.pcfg)
-		if err != nil {
-			// Geometry the stream grid cannot express (nonpositive window,
-			// negative overlap); a misconfiguration, not a runtime condition.
-			panic("online: incremental mode: " + err.Error())
-		}
-		m.stream = ss
 	}
 	reg := obs.Or(cfg.Obs)
 	if cfg.Resilience.MemSoftBytes > 0 || cfg.Resilience.MemHardBytes > 0 {
@@ -509,9 +503,9 @@ func (m *Monitor) flushWindow() []Alert {
 	// Records in the window (all pending up to end).
 	cut := m.pending.Search(func(p collector.BatchRecord) bool { return p.At > end })
 	if cut == 0 {
-		// Nothing new and no retained overlap records: the incremental
-		// index still has to see the boundary so eviction keeps pace with
-		// the watermark (a stream gap must drain retained segments).
+		// Nothing new and no retained overlap records: the stream index
+		// still has to see the boundary so eviction keeps pace with the
+		// watermark (a stream gap must drain retained segments).
 		m.advanceStream(end, nil)
 		return nil
 	}
@@ -539,10 +533,8 @@ func (m *Monitor) flushWindow() []Alert {
 		// A skipped window is still ingested: the streaming index's
 		// watermark must track the flush boundary through overload or the
 		// next diagnosed window would mis-assign the skipped records.
-		if m.stream != nil {
-			m.winScratch = m.pending.CopyRange(m.winScratch[:0], 0, cut)
-			m.advanceStream(end, m.winScratch)
-		}
+		m.winScratch = m.pending.CopyRange(m.winScratch[:0], 0, cut)
+		m.advanceStream(end, m.winScratch)
 		m.retainOverlap(end)
 		return nil
 	}
@@ -550,9 +542,6 @@ func (m *Monitor) flushWindow() []Alert {
 	// Extract the window into the reusable scratch buffer; nothing that
 	// survives this call aliases it.
 	m.winScratch = m.pending.CopyRange(m.winScratch[:0], 0, cut)
-	tr := &collector.Trace{Meta: m.meta, Records: m.winScratch}
-	pcfg := m.pcfg
-	pcfg.Degrade = level
 	//mslint:allow ctxflow push-driven monitor owns its window deadline; no caller ctx exists on the feed path
 	ctx := context.Background()
 	cancel := func() {}
@@ -565,11 +554,7 @@ func (m *Monitor) flushWindow() []Alert {
 		if m.cfg.ChaosHook != nil {
 			m.cfg.ChaosHook("window:" + strconv.Itoa(m.stats.Windows-1))
 		}
-		if m.stream != nil {
-			res, runErr = m.stream.RunWindow(ctx, end, m.winScratch, level)
-		} else {
-			res, runErr = pipeline.RunContext(ctx, tr, pcfg)
-		}
+		res, runErr = m.stream.RunWindow(ctx, end, m.winScratch, level)
 	}
 	if m.cfg.Resilience.ContainPanics {
 		// Window-granularity containment: a panic anywhere in the
@@ -589,18 +574,9 @@ func (m *Monitor) flushWindow() []Alert {
 	m.stats.ContainedPanics += int(res.ContainedPanics)
 	health := res.Health
 	m.lastHealth, m.hasHealth = health, true
-	if m.stream != nil {
-		// Seal-time totals from the stream: each record is reconstructed
-		// exactly once, so the counters are monotone across watermark
-		// resyncs and never double-count the overlap region (the batch
-		// path re-reconstructs it every window and inflates both).
-		sst := m.stream.Stats()
-		m.stats.Unmatched = sst.Recon.Unmatched
-		m.stats.Quarantined = sst.Recon.Quarantined
-	} else {
-		m.stats.Unmatched += health.Recon.Unmatched
-		m.stats.Quarantined += health.Recon.Quarantined
-	}
+	sst := m.stream.Stats()
+	m.stats.Unmatched = sst.Recon.Unmatched
+	m.stats.Quarantined = sst.Recon.Quarantined
 	diags := res.Diagnoses
 	m.stats.Victims += len(diags)
 	m.obsVictims.Add(int64(len(diags)))
@@ -680,16 +656,12 @@ func (m *Monitor) flushWindow() []Alert {
 	return out
 }
 
-// advanceStream runs an ingest-only advance of the incremental index (no
+// advanceStream runs an ingest-only advance of the stream index (no
 // diagnosis): the Skipped rung seals recs into grid segments and evicts
 // the expired horizon, keeping the stream's watermark on the monitor's
-// flush boundary. No-op in batch mode. A contained ingest panic
-// quarantines the stream's view of the window; the already-counted skip
-// stands.
+// flush boundary. A contained ingest panic quarantines the stream's view
+// of the window; the already-counted skip stands.
 func (m *Monitor) advanceStream(end simtime.Time, recs []collector.BatchRecord) {
-	if m.stream == nil {
-		return
-	}
 	//mslint:allow ctxflow push-driven monitor has no caller ctx; window deadlines are applied inside RunWindow
 	if _, err := m.stream.RunWindow(context.Background(), end, recs, resilience.Skipped); err != nil {
 		if resilience.IsPanic(err) {
@@ -699,14 +671,8 @@ func (m *Monitor) advanceStream(end simtime.Time, recs []collector.BatchRecord) 
 	}
 }
 
-// StreamStats returns the incremental index's cumulative seal-time
-// accounting; ok is false in batch mode.
-func (m *Monitor) StreamStats() (st tracestore.StreamStats, ok bool) {
-	if m.stream == nil {
-		return tracestore.StreamStats{}, false
-	}
-	return m.stream.Stats(), true
-}
+// StreamStats returns the stream index's cumulative seal-time accounting.
+func (m *Monitor) StreamStats() tracestore.StreamStats { return m.stream.Stats() }
 
 // retainOverlap drops buffered records before the overlap tail of the
 // window ending at end, keeping boundary-straddling queuing periods

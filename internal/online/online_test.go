@@ -82,6 +82,14 @@ func TestMonitorAlertsOnInterrupts(t *testing.T) {
 	if st.Windows < 4 || st.Records != len(tr.Records) {
 		t.Errorf("stats: %+v", st)
 	}
+	// The stream index tracked every flush and eviction kept pace.
+	sst := m.StreamStats()
+	if sst.Records == 0 || sst.SealedSegments == 0 {
+		t.Errorf("stream never ingested: %+v", sst)
+	}
+	if sst.RetainedSegments > 8 {
+		t.Errorf("eviction not keeping pace: %+v", sst)
+	}
 }
 
 func TestMonitorQuietStream(t *testing.T) {
@@ -248,74 +256,10 @@ func TestWatermarkResyncAfterGap(t *testing.T) {
 	}
 }
 
-// TestMonitorIncremental: the incremental monitor must detect the same
-// interrupt episodes the batch monitor does over the same feed, while the
-// streaming index tracks every flush (including gaps) and its seal-time
-// health counters stay monotone.
-func TestMonitorIncremental(t *testing.T) {
-	leakcheck.Check(t)
-	tr := monitoredRun(t, []simtime.Time{
-		simtime.Time(150 * simtime.Millisecond),
-		simtime.Time(400 * simtime.Millisecond),
-	})
-	run := func(incremental bool) ([]Alert, Stats) {
-		m := New(tr.Meta, Config{Incremental: incremental})
-		var alerts []Alert
-		const chunk = 5000
-		for i := 0; i < len(tr.Records); i += chunk {
-			end := i + chunk
-			if end > len(tr.Records) {
-				end = len(tr.Records)
-			}
-			alerts = append(alerts, m.Feed(tr.Records[i:end])...)
-		}
-		alerts = append(alerts, m.Flush()...)
-		if incremental {
-			st, ok := m.StreamStats()
-			if !ok {
-				t.Fatal("incremental monitor has no stream stats")
-			}
-			if st.Records == 0 || st.SealedSegments == 0 {
-				t.Fatalf("stream never ingested: %+v", st)
-			}
-			if st.RetainedSegments > 8 {
-				t.Fatalf("eviction not keeping pace: %+v", st)
-			}
-		} else if _, ok := m.StreamStats(); ok {
-			t.Fatal("batch monitor reports stream stats")
-		}
-		return alerts, m.Stats()
-	}
-	countFW := func(alerts []Alert) int {
-		n := 0
-		for _, a := range alerts {
-			if a.Comp == "fw1" && a.Kind == core.CulpritLocalProcessing {
-				n++
-			}
-		}
-		return n
-	}
-	ba, bs := run(false)
-	ia, is := run(true)
-	if got, want := countFW(ia), countFW(ba); got != want {
-		t.Errorf("incremental found %d fw1 episodes, batch found %d\nincremental: %v\nbatch: %v", got, want, ia, ba)
-	}
-	if is.Windows != bs.Windows || is.Records != bs.Records {
-		t.Errorf("ingest accounting diverged: incremental %+v, batch %+v", is, bs)
-	}
-	// The batch path re-reconstructs the overlap every window and inflates
-	// unmatched counts; the stream seals each record once, so its total
-	// can only be lower or equal.
-	if is.Unmatched > bs.Unmatched {
-		t.Errorf("seal-once unmatched %d exceeds batch double-counted %d", is.Unmatched, bs.Unmatched)
-	}
-}
-
-// TestMonitorIncrementalMonotoneCounters: Unmatched/Quarantined come from
-// the stream's seal-time totals in incremental mode, so they stay monotone
-// across watermark resyncs (the batch path's per-window += could replay
-// overlap damage after a resync jump).
-func TestMonitorIncrementalMonotoneCounters(t *testing.T) {
+// TestMonitorMonotoneCounters: Unmatched/Quarantined come from the
+// stream's seal-time totals, so they stay monotone across watermark
+// resyncs and never replay overlap damage after a resync jump.
+func TestMonitorMonotoneCounters(t *testing.T) {
 	w := simtime.Duration(100 * simtime.Microsecond)
 	m := New(collector.Meta{
 		Components: []collector.ComponentMeta{
@@ -329,7 +273,6 @@ func TestMonitorIncrementalMonotoneCounters(t *testing.T) {
 		Overlap:      w / 5,
 		MaxLookahead: 4 * w,
 		ResyncAfter:  2,
-		Incremental:  true,
 	})
 	// Each burst leaves one unmatched read (dequeue IPID matches no
 	// arrival), straddling flush boundaries via the overlap.

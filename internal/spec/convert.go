@@ -100,10 +100,6 @@ func (s *PipelineSpec) ResilienceConfig() resilience.Config {
 // field); the spec's window = slide + overlap is the analysis span.
 func (s *PipelineSpec) MonitorConfig(reg *obs.Registry) online.Config {
 	st := s.Stream
-	incremental := true
-	if st.Incremental != nil {
-		incremental = *st.Incremental
-	}
 	maxVictims := s.Diagnosis.MaxVictims
 	if maxVictims == 0 {
 		maxVictims = DefaultStreamMaxVictims
@@ -120,7 +116,6 @@ func (s *PipelineSpec) MonitorConfig(reg *obs.Registry) online.Config {
 		HoldOff:      st.HoldOff.Sim(),
 		Obs:          reg,
 		Resilience:   s.ResilienceConfig(),
-		Incremental:  incremental,
 	}
 }
 

@@ -167,8 +167,10 @@ type StreamSpec struct {
 	// ResyncAfter is the watermark-jump recovery run length (default 8;
 	// negative disables).
 	ResyncAfter int `json:"resync_after,omitempty"`
-	// Incremental routes windows through the retained streaming index
-	// (default true). Pointer so "absent" and "explicitly false" differ.
+	// Incremental is kept so documents written when the per-window
+	// rebuild still existed keep parsing. The streaming index is the only
+	// window path, so absent and true are the same and false is rejected.
+	// Resolved drops the field.
 	Incremental *bool `json:"incremental,omitempty"`
 }
 
@@ -445,6 +447,9 @@ func (s *PipelineSpec) Validate() error {
 	if st.HoldOff < 0 {
 		v.addf("stream.hold_off", "must be >= 0, got %v", st.HoldOff)
 	}
+	if st.Incremental != nil && !*st.Incremental {
+		v.addf("stream.incremental", "false is no longer supported: the per-window rebuild was removed; omit the field")
+	}
 
 	r := &s.Resilience
 	if r.RingCapacity < 0 {
@@ -662,10 +667,8 @@ func (s *PipelineSpec) Resolved() *PipelineSpec {
 	if st.ResyncAfter == 0 {
 		st.ResyncAfter = 8
 	}
-	if st.Incremental == nil {
-		t := true
-		st.Incremental = &t
-	}
+	// A no-op field: the resolved document omits it (see StreamSpec).
+	st.Incremental = nil
 
 	re := &r.Resilience
 	if re.ShedPolicy == "" {

@@ -39,7 +39,7 @@ func TestValidateFieldPaths(t *testing.T) {
 	s := &PipelineSpec{
 		Stages:    StagesSpec{Run: "turbo"},
 		Diagnosis: DiagnosisSpec{VictimPercentile: 120, Workers: -1},
-		Stream:    StreamSpec{Window: D(100 * time.Millisecond), Slide: D(90 * time.Millisecond), Overlap: D(20 * time.Millisecond)},
+		Stream:    StreamSpec{Window: D(100 * time.Millisecond), Slide: D(90 * time.Millisecond), Overlap: D(20 * time.Millisecond), Incremental: new(bool)},
 		Resilience: ResilienceSpec{
 			ShedPolicy:   "yolo",
 			MaxMemBytes:  10,
@@ -64,6 +64,7 @@ func TestValidateFieldPaths(t *testing.T) {
 		"diagnosis.victim_percentile",
 		"diagnosis.workers",
 		"stream.window",
+		"stream.incremental: false is no longer supported",
 		"resilience.shed_policy",
 		"resilience.soft_mem_bytes",
 		"topology.components[1].name",
@@ -178,9 +179,12 @@ func TestMonitorConfigConversion(t *testing.T) {
 	s := mustParse(t, `{
 		"stages": {"run": "no-patterns", "contain_panics": true},
 		"diagnosis": {"victim_percentile": 95, "workers": 4, "max_victims": 10},
-		"stream": {"slide": "50ms", "overlap": "10ms", "min_score": 7},
+		"stream": {"slide": "50ms", "overlap": "10ms", "min_score": 7, "incremental": true},
 		"resilience": {"ring_capacity": 1024, "shed_policy": "reject-new", "window_deadline": "2s"}
 	}`).Resolved()
+	if s.Stream.Incremental != nil {
+		t.Error("Resolved kept the no-op stream.incremental field")
+	}
 	cfg := s.MonitorConfig(nil)
 	if cfg.Window != 50*simtime.Millisecond || cfg.Overlap != 10*simtime.Millisecond {
 		t.Errorf("geometry: window=%v overlap=%v", cfg.Window, cfg.Overlap)
@@ -190,9 +194,6 @@ func TestMonitorConfigConversion(t *testing.T) {
 	}
 	if cfg.Diagnosis.VictimPercentile != 95 {
 		t.Errorf("core percentile = %g", cfg.Diagnosis.VictimPercentile)
-	}
-	if !cfg.Incremental {
-		t.Error("incremental should default on")
 	}
 	rc := cfg.Resilience
 	if rc.RingCapacity != 1024 || rc.Policy != resilience.ShedRejectNew ||
@@ -244,18 +245,16 @@ func TestMetaRoundTrip(t *testing.T) {
 // TestCloneIsolation: mutating a clone never touches the original.
 func TestCloneIsolation(t *testing.T) {
 	s := mustParse(t, `{
-		"stream": {"incremental": false},
 		"resilience": {"ladder": {"soft_records": 5}, "retry": {"max_attempts": 2}},
 		"topology": {"components": [{"name": "a"}]},
 		"hooks": [{"name": "h", "type": "exec", "command": ["true"]}]
 	}`)
 	c := s.Clone()
-	*c.Stream.Incremental = true
 	c.Resilience.Ladder.SoftRecords = 99
 	c.Resilience.Retry.MaxAttempts = 99
 	c.Topology.Components[0].Name = "z"
 	c.Hooks[0].Command[0] = "false"
-	if *s.Stream.Incremental || s.Resilience.Ladder.SoftRecords != 5 ||
+	if s.Resilience.Ladder.SoftRecords != 5 ||
 		s.Resilience.Retry.MaxAttempts != 2 || s.Topology.Components[0].Name != "a" ||
 		s.Hooks[0].Command[0] != "true" {
 		t.Fatalf("clone aliases original: %+v", s)

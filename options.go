@@ -26,10 +26,10 @@ const (
 
 // Registry is the observability registry the toolkit reports into:
 // counters, gauges, fixed-bucket latency histograms, and a bounded span
-// tracer. Create one with NewRegistry, attach it with WithObserver (or
-// DiagnosisConfig-less entry points), and serve or dump it via its
-// WritePrometheus / WriteJSON methods. All methods on a nil *Registry are
-// no-ops, so "observability disabled" costs a nil check per event.
+// tracer. Create one with NewRegistry, attach it with WithObserver, and
+// serve or dump it via its WritePrometheus / WriteJSON methods. All
+// methods on a nil *Registry are no-ops, so "observability disabled"
+// costs a nil check per event.
 type Registry = obs.Registry
 
 // Span is one recorded timing span: pipeline runs and stages, per-victim
@@ -41,10 +41,8 @@ func NewRegistry() *Registry { return obs.New() }
 
 // Option configures a diagnosis entry point (Diagnose, DiagnoseStore,
 // DiagnoseOne, Explain, Victims and their Context variants). Two kinds of
-// value satisfy it: the With* functional options below, and the legacy
-// DiagnosisConfig / Options structs applied wholesale — so pre-options
-// call sites like Diagnose(tr, DiagnosisConfig{Workers: 4}) keep
-// compiling and behave identically.
+// value satisfy it: the With* functional options below, and an Options
+// struct applied wholesale.
 type Option interface {
 	apply(*Options)
 }
@@ -88,20 +86,6 @@ type Options struct {
 
 // apply merges o into dst wholesale, making Options itself an Option.
 func (o Options) apply(dst *Options) { *dst = o }
-
-// apply lets the legacy struct config act as an Option: the struct is the
-// whole configuration, exactly as the pre-options API treated it.
-func (c DiagnosisConfig) apply(dst *Options) {
-	*dst = Options{
-		VictimPercentile:        c.VictimPercentile,
-		MaxRecursionDepth:       c.MaxRecursionDepth,
-		MaxVictims:              c.MaxVictims,
-		PatternThreshold:        c.PatternThreshold,
-		SkipLossVictims:         c.SkipLossVictims,
-		LossVictimsWhenDegraded: c.LossVictimsWhenDegraded,
-		Workers:                 c.Workers,
-	}
-}
 
 // optionFunc adapts a closure to the Option interface.
 type optionFunc func(*Options)

@@ -38,7 +38,7 @@ func randSpec(rng *rand.Rand) *PipelineSpec {
 		MinScore: float64(rng.Intn(500)),
 	}
 	if rng.Intn(2) == 0 {
-		inc := rng.Intn(2) == 0
+		inc := true // the only accepted explicit value
 		s.Stream.Incremental = &inc
 	}
 	s.Resilience = spec.ResilienceSpec{
